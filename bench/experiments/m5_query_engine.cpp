@@ -151,12 +151,10 @@ int run_m5(ExperimentContext& ctx) {
     json.num_field("found_frac", found_frac);
     json.bool_field("bit_identical", same_results(seq, pooled));
     // Provenance: which stream-plan version derived the per-query streams
-    // (rng/stream_plan.hpp) and the lane width of the interleaved
-    // executor. Neither changes results; both change what an external
-    // replayer must configure to reproduce them.
+    // (rng/stream_plan.hpp) — what an external replayer must configure to
+    // reproduce them.
     json.int_field("stream_plan",
                    sfs::rng::stream_plan_number(options.stream_plan));
-    json.int_field("interleave", options.interleave);
     ctx.emitter->emit_object(json.str());
   }
   t.print(ctx.console());

@@ -21,11 +21,6 @@ Rules
                       a TU that touches the sim/report emitter surface —
                       hash-iteration order would leak into committed
                       artifacts.
-  legacy-api          (R4) no call-expression-level use of the legacy
-                      measure_weak_portfolio / measure_strong_portfolio
-                      compat surface outside its three pinned files
-                      (replaces the CI api-guard grep; strings and
-                      comments cannot false-positive here).
   check-discipline    (R5) no raw `throw` / `assert(` in src/ — use
                       SFS_REQUIRE / SFS_CHECK (base/check.hpp) so
                       failures carry expression, location, and context.
@@ -68,7 +63,7 @@ Engines
 `--engine token` (default fallback) lexes each file, strips comments and
 string/character literals with full raw-string support, and applies the
 rules to the remaining token text — no network, no non-stdlib deps.
-`--engine libclang` upgrades R2/R4/R5 to true call-/throw-expression
+`--engine libclang` upgrades R2/R5 to true call-/throw-expression
 checks when python clang bindings + libclang are installed; `--engine
 auto` (default) probes and falls back.  The R6 call graph is built by
 the token engine in every mode (function definitions + call edges from
@@ -143,13 +138,6 @@ class Rule:
 # path here, with a PR justification, rather than sprinkling ALLOWs).
 R1_ALLOWED_PATHS: tuple[str, ...] = ()
 
-# R4: the pinned legacy compat surface (mirrors the retired api-guard job).
-R4_COMPAT_FILES = (
-    "src/sim/sweep.hpp",
-    "src/sim/sweep.cpp",
-    "tests/test_sweep_compat.cpp",
-)
-
 RULES = {
     "rng-sources": Rule(
         "rng-sources",
@@ -167,11 +155,6 @@ RULES = {
         "unordered-container iteration in a TU touching the "
         "sim/report emitter surface",
         lambda p: True,
-    ),
-    "legacy-api": Rule(
-        "legacy-api",
-        "legacy measure_*_portfolio call outside the compat surface",
-        lambda p: p not in R4_COMPAT_FILES,
     ),
     "check-discipline": Rule(
         "check-discipline",
@@ -375,8 +358,6 @@ R3_SURFACE_RE = re.compile(
     r"\bResultsEmitter\b|\bemit_object\b|\bBENCH_JSON\b")
 R3_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<[^;{]*?>\s+(\w+)")
 
-R4_RE = re.compile(r"\b(measure_weak_portfolio|measure_strong_portfolio)\s*\(")
-
 R5_THROW_RE = re.compile(r"\bthrow\b")
 R5_ASSERT_RE = re.compile(r"(?<!static_)\bassert\s*\(")
 
@@ -454,15 +435,6 @@ def token_rule_unordered_emission(path: str, lexed: LexedFile,
         if m and m.group(1) in unordered_vars:
             out.append(Finding(path, idx, "unordered-emission", msg))
     return out
-
-
-def token_rule_legacy_api(path: str, lexed: LexedFile,
-                          original: str = "") -> list[Finding]:
-    return _line_findings(
-        path, lexed.code, R4_RE, "legacy-api",
-        "legacy measure_*_portfolio call — the compat surface is pinned to "
-        "src/sim/sweep.{hpp,cpp} + tests/test_sweep_compat.cpp; use "
-        "sim::measure_portfolio(RunPlan) (docs/SEARCH.md)")
 
 
 def token_rule_check_discipline(path: str, lexed: LexedFile,
@@ -566,7 +538,6 @@ TOKEN_RULE_FNS = {
     "rng-sources": token_rule_rng_sources,
     "raw-derive": token_rule_raw_derive,
     "unordered-emission": token_rule_unordered_emission,
-    "legacy-api": token_rule_legacy_api,
     "check-discipline": token_rule_check_discipline,
     "float-order": token_rule_float_order,
     "layering": token_rule_layering,
@@ -765,7 +736,7 @@ def rng_reachability_findings(
 
 
 # --------------------------------------------------------------------------
-# Optional libclang engine (upgrades R2/R4/R5 to AST precision)
+# Optional libclang engine (upgrades R2/R5 to AST precision)
 # --------------------------------------------------------------------------
 
 def probe_libclang() -> tuple[object | None, dict]:
@@ -792,7 +763,7 @@ def try_libclang():
 
 
 def libclang_findings(path: str, repo_root: Path, cindex) -> list[Finding] | None:
-    """AST-level R2/R4/R5 for one file; None on parse failure (caller falls
+    """AST-level R2/R5 for one file; None on parse failure (caller falls
     back to the token engine for those rules)."""
     try:
         index = cindex.Index.create()
@@ -815,10 +786,6 @@ def libclang_findings(path: str, repo_root: Path, cindex) -> list[Finding] | Non
                 out.append(Finding(path, loc.line, "raw-derive",
                                    "raw derive_stream_seed call (AST) — use "
                                    "audited_stream_seed / StreamPlan"))
-            elif name in ("measure_weak_portfolio", "measure_strong_portfolio"):
-                out.append(Finding(path, loc.line, "legacy-api",
-                                   f"legacy {name} call (AST) — use "
-                                   "sim::measure_portfolio(RunPlan)"))
         elif kind == cindex.CursorKind.CXX_THROW_EXPR:
             out.append(Finding(path, loc.line, "check-discipline",
                                "raw throw expression (AST) — use "
@@ -826,7 +793,7 @@ def libclang_findings(path: str, repo_root: Path, cindex) -> list[Finding] | Non
     return out
 
 
-LIBCLANG_RULES = ("raw-derive", "legacy-api", "check-discipline")
+LIBCLANG_RULES = ("raw-derive", "check-discipline")
 
 
 # --------------------------------------------------------------------------

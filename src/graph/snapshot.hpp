@@ -14,7 +14,7 @@
 //   [3]   checksum         FNV-1a-64 over every byte from offset 32 to EOF
 //   [4]   n                vertices
 //   [5]   m                edges
-//   [6]   row codec        graph::RowCodec value
+//   [6]   row codec        0 = zigzag varint rows (the only codec)
 //   [7]   seed             the audited stream seed the graph was built from
 //   [8..11] generator      char[32], NUL-padded
 //   [12]  tail stream length (bytes)

@@ -131,7 +131,7 @@ class Rng {
 /// (stream 0 = the graph, further streams = endpoints, per-policy
 /// searches, ...). Every stream of every replication is a pure function of
 /// (experiment_seed, stream, rep), which is what lets the parallel
-/// replication engine (sim/parallel.hpp) fan replications out across
+/// replication engine (base/parallel.hpp) fan replications out across
 /// threads while staying bit-identical to a sequential loop — no RNG
 /// state is ever shared between replications. See docs/PERF.md.
 [[nodiscard]] std::uint64_t derive_stream_seed(std::uint64_t experiment_seed,

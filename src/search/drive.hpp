@@ -1,21 +1,17 @@
 // Resumable drive machines: the runner's weak/strong drive loops unrolled
 // into step objects, one loop iteration per step() call.
 //
-// Motivation: QueryEngine::run_batch interleaves W independent walks per
-// worker (memory-latency hiding — each walk's next dependent cache miss
-// overlaps the others' useful work), which needs the drive loop suspended
-// between iterations. A drive object owns exactly the loop-local state of
-// runner.cpp's closed loops (consecutive-failure streak, restart count)
-// and borrows everything else (view, searcher, rng, budgets), so stepping
-// a drive to completion performs the same calls in the same order as the
-// closed loop — run_weak/run_strong are implemented on top of these, and
-// interleaved execution is bit-identical to sequential by construction.
+// A drive object owns exactly the loop-local state of a search (the
+// consecutive-failure streak, the restart count) and borrows everything
+// else (view, searcher, rng, budgets). Stepping a drive to completion is
+// the runner's closed loop: run_weak/run_strong and their tolerant
+// variants (search/runner.cpp) are implemented on top of these, so this
+// header is the tree's single search loop body.
 //
 // Everything is defined inline: step() sits on the per-probe hot path of
-// every search in the tree (runner loops and QueryEngine lanes both), and
-// an out-of-line definition costs a call per probe that the old closed
-// loops never paid — measurably so on cache-resident graphs, where the
-// probe itself is a handful of loads.
+// every search in the tree, and an out-of-line definition costs a call
+// per probe — measurably so on cache-resident graphs, where the probe
+// itself is a handful of loads.
 //
 // Lifetime: the borrowed view, searcher, rng, and budgets must outlive the
 // drive. One drive serves one search; construct a fresh one per query.

@@ -10,9 +10,8 @@ namespace {
 // branch keys off view.failed_requests(), which never moves without a
 // liveness mask, so a static run takes the exact pre-churn path (same
 // calls, same RNG draws) — bit-identity by construction, not by testing.
-// The loop body lives in search/drive.hpp's step machines (so QueryEngine
-// can interleave suspended searches); driving one to completion here IS
-// the closed loop.
+// The loop body lives in search/drive.hpp's step machines; driving one to
+// completion here IS the closed loop.
 SearchResult drive_weak(LocalView& view, WeakSearcher& searcher, rng::Rng& rng,
                         const RunBudget& budget, const RetryBudget& retry) {
   WeakDrive drive(view, searcher, rng, budget, retry);

@@ -443,9 +443,8 @@ void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec) {
   }
 }
 
-namespace {
-
-int run_cli(const std::vector<std::string>& args) {
+int experiment_main(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
   CliRequest req;
   std::string error;
   if (!parse_experiment_cli(args, req, error)) {
@@ -498,19 +497,6 @@ int run_cli(const std::vector<std::string>& args) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-}
-
-}  // namespace
-
-int experiment_main(int argc, char** argv) {
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  return run_cli(args);
-}
-
-int experiment_main_for(std::string_view name, int argc, char** argv) {
-  std::vector<std::string> args{"--run", std::string(name)};
-  args.insert(args.end(), argv + 1, argv + argc);
-  return run_cli(args);
 }
 
 }  // namespace sfs::sim

@@ -255,10 +255,4 @@ void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec);
 /// error, 2 usage error.
 [[nodiscard]] int experiment_main(int argc, char** argv);
 
-/// Compatibility entry point for the per-experiment thin wrappers
-/// (bench_e1_thm1_weak & co.): behaves like
-/// `sfs_bench --run <name> <argv[1..]>`.
-[[nodiscard]] int experiment_main_for(std::string_view name, int argc,
-                                      char** argv);
-
 }  // namespace sfs::sim

@@ -13,7 +13,10 @@
 #include "graph/overlay.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
+#include "rng/stream_plan.hpp"
+#include "search/policy.hpp"
 #include "search/weak_algorithms.hpp"
+#include "sim/churn.hpp"
 
 namespace {
 
@@ -109,40 +112,6 @@ TEST(QueryEngine, BatchBitIdenticalAcrossThreadCounts) {
   // One audited derivation per distinct (seed, stream, batch index);
   // re-running the same batch re-records the same triples.
   EXPECT_EQ(audit.recorded_count(), queries.size());
-
-  audit.reset();
-  audit.set_enabled(was_enabled);
-}
-
-TEST(QueryEngine, InterleaveWidthNeverChangesResults) {
-  // The interleaved executor (search/drive.hpp lanes) is an execution-order
-  // optimization only: widths 1 (run-to-completion), 3 (partial blocks),
-  // and 8 (default) must agree bit for bit, across thread counts, under
-  // the stream audit. Covers both knowledge models; random-walk is the
-  // hardest case (every step consumes RNG).
-  auto& audit = sfs::rng::StreamAudit::instance();
-  const bool was_enabled = audit.enabled();
-  audit.set_enabled(true);
-  audit.reset();
-
-  const Graph g = test_graph();
-  const auto queries = test_queries(g, 29, 17);  // not a multiple of 8
-  for (const char* policy : {"random-walk", "degree-greedy-strong"}) {
-    std::vector<std::vector<SearchResult>> runs;
-    for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}}) {
-      QueryEngineOptions options;
-      options.seed = 0xBEEF;
-      options.budget.max_raw_requests = 20000;
-      options.interleave = width;
-      QueryEngine engine(g, policy, options);
-      runs.push_back(engine.run_batch(queries, /*threads=*/1));
-      runs.push_back(engine.run_batch(queries, /*threads=*/4));
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-      expect_identical(runs[0], runs[r]);
-    }
-  }
 
   audit.reset();
   audit.set_enabled(was_enabled);
@@ -260,6 +229,70 @@ TEST(QueryEngineOverlay, PristineOverlayMatchesStaticEngineBitForBit) {
     QueryEngine dynamic(overlay, policy, options);
     QueryEngine fixed(overlay.snapshot(), policy, options);
     expect_identical(dynamic.run_batch(queries, 2), fixed.run_batch(queries));
+  }
+}
+
+TEST(QueryEngineOverlay, ChurnedBatchEqualsPerQueryTolerantRuns) {
+  // Each batch query is exactly one run_{weak,strong}_tolerant call on the
+  // overlay's masks, seeded from the positional kCounter query stream —
+  // checked after real fault injection (tombstones and dead links
+  // showing), for both knowledge models and thread counts {1, 4}.
+  sfs::graph::Overlay overlay(test_graph());
+  const sfs::sim::ChurnSchedule churn(
+      sfs::sim::ChurnParams{.rate = 0.05, .edge_failure_rate = 0.05}, 0xC4);
+  for (std::uint64_t step = 0; step < 3; ++step) {
+    (void)churn.inject(overlay, step);
+  }
+  ASSERT_LT(overlay.num_alive(), overlay.num_vertices());
+  std::vector<VertexId> live;
+  for (VertexId v = 0; v < overlay.num_vertices(); ++v) {
+    if (overlay.alive(v)) live.push_back(v);
+  }
+  sfs::rng::Rng pick(41);
+  std::vector<Query> queries(40);
+  for (auto& q : queries) {
+    q.start = live[pick.uniform_index(live.size())];
+    do {
+      q.target = live[pick.uniform_index(live.size())];
+    } while (q.target == q.start);
+  }
+
+  const sfs::search::LivenessView liveness{overlay.vertex_alive_mask(),
+                                           overlay.edge_alive_mask()};
+  for (const char* policy : {"random-walk", "degree-greedy-strong"}) {
+    QueryEngineOptions options;
+    options.seed = 0x0E7;
+    options.budget.max_raw_requests = 20000;
+    QueryEngine engine(overlay, policy, options);
+    const auto* spec = sfs::search::PolicyRegistry::instance().find(policy);
+    ASSERT_NE(spec, nullptr);
+
+    std::vector<SearchResult> expected;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      sfs::rng::Rng rng(
+          sfs::rng::StreamPlan(options.seed, sfs::rng::mix64(0x10e57ULL),
+                               sfs::rng::StreamPlanVersion::kCounter)
+              .stream_seed(i));
+      sfs::search::SearchWorkspace ws;
+      const Query& q = queries[i];
+      if (spec->model == sfs::search::KnowledgeModel::kWeak) {
+        const auto searcher = spec->make_weak();
+        expected.push_back(sfs::search::run_weak_tolerant(
+            overlay.snapshot(), liveness, q.start, q.target, *searcher, rng,
+            options.budget, options.retry, ws));
+      } else {
+        const auto searcher = spec->make_strong();
+        expected.push_back(sfs::search::run_strong_tolerant(
+            overlay.snapshot(), liveness, q.start, q.target, *searcher, rng,
+            options.budget, options.retry, ws));
+      }
+    }
+    std::size_t failed = 0;
+    for (const auto& r : expected) failed += r.failed_requests;
+    EXPECT_GT(failed, 0u) << policy << ": churn never reached a search";
+
+    expect_identical(engine.run_batch(queries, /*threads=*/1), expected);
+    expect_identical(engine.run_batch(queries, /*threads=*/4), expected);
   }
 }
 
