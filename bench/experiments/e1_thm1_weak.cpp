@@ -50,7 +50,7 @@ void run_config(ExperimentContext& ctx, double p, std::size_t m,
       [&](std::size_t n, std::uint64_t seed) {
         return portfolio_best(n, seed).best_policy().requests.mean;
       },
-      ctx.threads());
+      {.threads = ctx.threads()});
   sfs::sim::print_scaling(
       "E1: weak-model requests to find vertex n, Mori " + tag, series,
       "best requests", sfs::core::theory::weak_lower_bound_exponent(),

@@ -44,7 +44,7 @@ void BM_WeakBfsFullSearchWorkspace(benchmark::State& state) {
   for (auto _ : state) {
     sfs::rng::Rng rng(seed++);
     auto r = sfs::search::run_weak(
-        g, 0, static_cast<sfs::graph::VertexId>(n - 1), bfs, rng, {}, ws);
+        g, 0, static_cast<sfs::graph::VertexId>(n - 1), bfs, rng, {}, &ws);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -112,7 +112,7 @@ void BM_StrongDegreeGreedyWorkspace(benchmark::State& state) {
     sfs::rng::Rng rng(seed++);
     auto r = sfs::search::run_strong(
         g, 0, static_cast<sfs::graph::VertexId>(n - 1), *greedy, rng, {},
-        ws);
+        &ws);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

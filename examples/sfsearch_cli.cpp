@@ -253,7 +253,7 @@ int cmd_search(const std::vector<std::string>& args) {
                                          : sfs::search::KnowledgeModel::kStrong;
 
   // Policy selection by registry name (empty = the model's full
-  // portfolio), replacing the hard-coded portfolio list calls.
+  // portfolio).
   const auto specs = sfs::search::resolve_policies(model, policy_names);
   sfs::sim::Table t("search " + std::to_string(start_paper) + " -> " +
                         std::to_string(target_paper) + " (" + model_arg + ")",

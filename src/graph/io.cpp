@@ -47,8 +47,12 @@ Graph read_edge_list(std::istream& in) {
   std::size_t m = 0;
   SFS_REQUIRE(static_cast<bool>(header >> n >> m), "malformed header line");
 
+  validate_edge_capacity(m);
+
+  // No reserve from the header's count: it is unverified until the rows
+  // arrive, and a lying header must fail as a truncated list, not as a
+  // multi-gigabyte allocation.
   GraphBuilder b(n);
-  b.reserve_edges(m);
   for (std::size_t i = 0; i < m; ++i) {
     SFS_REQUIRE(next_line(in, line), "truncated edge list");
     std::istringstream row(line);

@@ -1,25 +1,21 @@
-// Search-policy registry: the v2 policy surface of the search API.
+// Search-policy registry: the policy surface of the search API.
 //
 // The paper's statements quantify over "any search algorithm" in the weak
-// and strong knowledge models. V1 of the API hard-coded that quantifier as
-// two raw function-pointer typedefs (WeakSearcherFactory /
-// StrongSearcherFactory) plus two hand-maintained portfolio lists
-// (weak_portfolio() / strong_portfolio()); selecting a subset, listing what
-// exists, or adding a policy meant editing those lists and relinking every
-// caller. V2 replaces them with a model-tagged registry mirroring the
-// experiment registry (sim/experiment.hpp): each policy registers a
-// PolicySpec — name, one-line description, knowledge model, and a stateful
-// std::function factory — via a static PolicyRegistrar, and every consumer
-// (the portfolio engine in sim/sweep, the QueryEngine, sfsearch_cli,
-// sfs_bench --policies) selects policies by name.
+// and strong knowledge models. The registry makes that quantifier a
+// model-tagged list mirroring the experiment registry
+// (sim/experiment.hpp): each policy registers a PolicySpec — name,
+// one-line description, knowledge model, and a stateful std::function
+// factory — via a static PolicyRegistrar, and every consumer (the
+// portfolio engine in sim/sweep, the QueryEngine, sfsearch_cli,
+// sfs_bench --policies) selects policies by name. A model's full
+// portfolio is make_{weak,strong}_searchers(resolve_policies(model, {})).
 //
 // Registration order is load-bearing: the full-portfolio order per model is
-// the registration order, which reproduces the legacy weak_portfolio() /
-// strong_portfolio() order exactly — the portfolio measurement engine
-// derives each policy's RNG stream from its index in the selected
-// portfolio, so reordering registrations would silently change every
-// pinned-seed experiment output. Append new policies at the end of their
-// model's block in policy.cpp.
+// the registration order — the portfolio measurement engine derives each
+// policy's RNG stream from its index in the selected portfolio, so
+// reordering registrations would silently change every pinned-seed
+// experiment output. Append new policies at the end of their model's block
+// in policy.cpp.
 #pragma once
 
 #include <deque>

@@ -127,20 +127,19 @@ void QueryEngine::run_batch(std::span<const Query> queries,
   const bool weak = spec_->model == KnowledgeModel::kWeak;
   // Streams depend only on (seed, plan, batch index): identical results
   // for any thread count, and replayable for a fixed batch. A static
-  // engine runs the tolerant entry points with an empty LivenessView,
-  // which the runner guarantees bit-identical to the static run.
+  // engine runs with an empty LivenessView.
   base::parallel_for(
       queries.size(), threads, [&](std::size_t i, std::size_t worker) {
         Session& session = *sessions_[worker];
         const Query& q = queries[i];
         rng::Rng rng(query_stream_seed(i));
         results[i] =
-            weak ? run_weak_tolerant(*graph_, liveness, q.start, q.target,
-                                     *session.weak, rng, options_.budget,
-                                     options_.retry, session.workspace)
-                 : run_strong_tolerant(*graph_, liveness, q.start, q.target,
-                                       *session.strong, rng, options_.budget,
-                                       options_.retry, session.workspace);
+            weak ? run_weak(*graph_, q.start, q.target, *session.weak, rng,
+                            options_.budget, &session.workspace, liveness,
+                            options_.retry)
+                 : run_strong(*graph_, q.start, q.target, *session.strong, rng,
+                              options_.budget, &session.workspace, liveness,
+                              options_.retry);
       });
   if (overlay_ != nullptr) {
     SFS_CHECK(overlay_->epoch() == epoch_at_start,

@@ -147,7 +147,7 @@ class QueryEngine {
   /// the fan-out: 1 (default) = sequential, 0 = the shared pool, n = a
   /// pool of n workers — bit-identical in all cases (per-query streams
   /// depend only on the batch index). Each query is one
-  /// run_{weak,strong}_tolerant call (search/runner.hpp) on the worker's
+  /// run_{weak,strong} call (search/runner.hpp) on the worker's
   /// session. Validates every query's endpoints against the graph before
   /// running anything. `results` must be exactly queries.size() long.
   void run_batch(std::span<const Query> queries,

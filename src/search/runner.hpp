@@ -1,15 +1,15 @@
 // Drives a searcher against a LocalView until the target is found, the
-// policy gives up, or a budget is exhausted.
+// policy gives up, a budget is exhausted, or the search is abandoned.
 //
-// The *_tolerant variants run the same loop against a liveness-masked view
+// One entry point per knowledge model. A run may be liveness-masked
 // (graph::Overlay masks): failed probes (dead link / departed peer) are
 // absorbed by a bounded RetryBudget instead of being surfaced to the
 // policy — the policy only ever observes successful answers, and a search
 // that keeps stranding is restarted (policy state reset, discovered
-// knowledge retained) and finally abandoned. With empty masks the failure
-// branch is unreachable and consumes no randomness, so a tolerant run
-// over an all-alive overlay is bit-identical to the static run — the
-// churn-rate-0 acceptance invariant.
+// knowledge retained) and finally abandoned. A static run is the same run
+// with empty masks: the failure branch is then unreachable and consumes
+// no randomness, so a run over an all-alive overlay is bit-identical to
+// the static run — the churn-rate-0 acceptance invariant.
 #pragma once
 
 #include <cstdint>
@@ -64,50 +64,30 @@ struct SearchResult {
 };
 
 /// Runs a weak-model search for `target` from `start` on `g`.
+///
+/// `workspace`: per-search state; null runs on a workspace local to the
+/// call, a caller's workspace (one per worker thread) makes back-to-back
+/// runs on same-size graphs allocation-free. Results are identical either
+/// way. `liveness`: masks over `g` (usually Overlay::vertex_alive_mask /
+/// edge_alive_mask over overlay.snapshot()); empty means all alive.
+/// `retry` bounds the failed probes absorbed under a mask.
 [[nodiscard]] SearchResult run_weak(const graph::Graph& g,
                                     graph::VertexId start,
                                     graph::VertexId target,
                                     WeakSearcher& searcher, rng::Rng& rng,
-                                    const RunBudget& budget = {});
+                                    const RunBudget& budget = {},
+                                    SearchWorkspace* workspace = nullptr,
+                                    const LivenessView& liveness = {},
+                                    const RetryBudget& retry = {});
 
-/// Runs a strong-model search for `target` from `start` on `g`.
+/// Runs a strong-model search; same contract as run_weak.
 [[nodiscard]] SearchResult run_strong(const graph::Graph& g,
                                       graph::VertexId start,
                                       graph::VertexId target,
                                       StrongSearcher& searcher, rng::Rng& rng,
-                                      const RunBudget& budget = {});
-
-/// Workspace-reusing variants: identical results to the overloads above,
-/// but all per-search state lives in `workspace`, so back-to-back runs on
-/// same-size graphs allocate nothing. One workspace per worker thread.
-[[nodiscard]] SearchResult run_weak(const graph::Graph& g,
-                                    graph::VertexId start,
-                                    graph::VertexId target,
-                                    WeakSearcher& searcher, rng::Rng& rng,
-                                    const RunBudget& budget,
-                                    SearchWorkspace& workspace);
-
-[[nodiscard]] SearchResult run_strong(const graph::Graph& g,
-                                      graph::VertexId start,
-                                      graph::VertexId target,
-                                      StrongSearcher& searcher, rng::Rng& rng,
-                                      const RunBudget& budget,
-                                      SearchWorkspace& workspace);
-
-/// Departure-tolerant runs over a liveness-masked snapshot. `liveness`
-/// usually comes from a graph::Overlay (vertex_alive_mask /
-/// edge_alive_mask over overlay.snapshot()); with empty masks these are
-/// bit-identical to the static overloads above.
-[[nodiscard]] SearchResult run_weak_tolerant(
-    const graph::Graph& g, const LivenessView& liveness,
-    graph::VertexId start, graph::VertexId target, WeakSearcher& searcher,
-    rng::Rng& rng, const RunBudget& budget, const RetryBudget& retry,
-    SearchWorkspace& workspace);
-
-[[nodiscard]] SearchResult run_strong_tolerant(
-    const graph::Graph& g, const LivenessView& liveness,
-    graph::VertexId start, graph::VertexId target, StrongSearcher& searcher,
-    rng::Rng& rng, const RunBudget& budget, const RetryBudget& retry,
-    SearchWorkspace& workspace);
+                                      const RunBudget& budget = {},
+                                      SearchWorkspace* workspace = nullptr,
+                                      const LivenessView& liveness = {},
+                                      const RetryBudget& retry = {});
 
 }  // namespace sfs::search

@@ -104,30 +104,32 @@ std::vector<std::string> meta_row(const std::vector<std::size_t>& sizes,
           std::to_string(reps), join_sizes(sizes)};
 }
 
-// Restores completed cells from `path` into raw slots / the done mask.
-// Returns true when the file existed with a valid meta row (the appender
-// must not rewrite it).
-bool load_checkpoint(const std::string& path,
-                     const std::vector<std::size_t>& sizes, std::size_t reps,
-                     std::uint64_t seed, ScalingSeries& series,
-                     std::vector<char>& done) {
+// The checkpoint parser shared by resume and merge. Reads `path`'s lines
+// with trailing CRs stripped (a checkpoint may cross OSes); returns false
+// when the file cannot be opened.
+bool read_checkpoint_lines(const std::string& path,
+                           std::vector<std::string>& lines) {
   std::ifstream in(path);
   if (!in) return false;
-  std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     lines.push_back(line);
   }
-  if (lines.empty()) return false;
+  return true;
+}
 
+// Calls on_cell(i, rep, value, value_text) for every completed-cell row
+// after the meta row (lines[0]) of a checkpoint over the (sizes, reps)
+// grid; value_text is the value field verbatim. Skips the header row and
+// rows a previous resume repaired; any other malformed row is tolerated
+// only as the file's last line (the one an interrupted append may tear).
+template <typename OnCell>
+void for_each_checkpoint_cell(const std::vector<std::string>& lines,
+                              const std::string& path,
+                              const std::vector<std::size_t>& sizes,
+                              std::size_t reps, const OnCell& on_cell) {
   std::vector<std::string> fields;
-  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
-                  fields == meta_row(sizes, reps, seed),
-              "checkpoint file does not match this sweep "
-              "(seed/reps/sizes differ): " +
-                  path);
-
   for (std::size_t k = 1; k < lines.size(); ++k) {
     const bool is_last = k + 1 == lines.size();
     const bool parsed = parse_csv_row(lines[k], fields);
@@ -153,9 +155,32 @@ bool load_checkpoint(const std::string& path,
                                " in " + path);
       continue;
     }
-    series.points[i].raw[rep] = value;
-    done[i * reps + rep] = 1;
+    on_cell(i, rep, value, fields[3]);
   }
+}
+
+// Restores completed cells from `path` into raw slots / the done mask.
+// Returns true when the file existed with a valid meta row (the appender
+// must not rewrite it).
+bool load_checkpoint(const std::string& path,
+                     const std::vector<std::size_t>& sizes, std::size_t reps,
+                     std::uint64_t seed, ScalingSeries& series,
+                     std::vector<char>& done) {
+  std::vector<std::string> lines;
+  if (!read_checkpoint_lines(path, lines) || lines.empty()) return false;
+
+  std::vector<std::string> fields;
+  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
+                  fields == meta_row(sizes, reps, seed),
+              "checkpoint file does not match this sweep "
+              "(seed/reps/sizes differ): " +
+                  path);
+  for_each_checkpoint_cell(
+      lines, path, sizes, reps,
+      [&](std::size_t i, std::size_t rep, double value, const std::string&) {
+        series.points[i].raw[rep] = value;
+        done[i * reps + rep] = 1;
+      });
   return true;
 }
 
@@ -408,27 +433,6 @@ ScalingSeries measure_scaling(
       });
 }
 
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t)>& measure,
-    std::size_t threads) {
-  ScalingOptions options;
-  options.threads = threads;
-  return measure_scaling(sizes, reps, seed, measure, options);
-}
-
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t,
-                               gen::GenScratch&)>& measure,
-    std::size_t threads) {
-  ScalingOptions options;
-  options.threads = threads;
-  return measure_scaling(sizes, reps, seed, measure, options);
-}
-
 namespace {
 
 // Shared body of the sharded entry points: the checkpoint is mandatory
@@ -493,14 +497,9 @@ std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
   std::map<std::pair<std::size_t, std::size_t>, std::string> cells;
 
   for (const std::string& path : inputs) {
-    std::ifstream in(path);
-    SFS_REQUIRE(in.good(), "cannot open shard checkpoint: " + path);
     std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      lines.push_back(line);
-    }
+    SFS_REQUIRE(read_checkpoint_lines(path, lines),
+                "cannot open shard checkpoint: " + path);
     SFS_REQUIRE(!lines.empty(), "empty shard checkpoint: " + path);
 
     std::vector<std::string> fields;
@@ -532,35 +531,17 @@ std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
                       path);
     }
 
-    for (std::size_t k = 1; k < lines.size(); ++k) {
-      const bool is_last = k + 1 == lines.size();
-      const bool parsed = parse_csv_row(lines[k], fields);
-      if (parsed && !fields.empty() && fields.back() == "torn") continue;
-      std::size_t i = 0;
-      std::size_t n = 0;
-      std::size_t rep = 0;
-      double value = 0.0;
-      const bool well_formed =
-          parsed && fields.size() == 5 && fields[4] == kCkptEnd &&
-          parse_index(fields[0], i) && parse_index(fields[1], n) &&
-          parse_index(fields[2], rep) && parse_value(fields[3], value) &&
-          i < sizes.size() && sizes[i] == n && rep < reps;
-      if (!well_formed) {
-        if (k == 1 && parsed && !fields.empty() && fields[0] == "size_index") {
-          continue;
-        }
-        // Same tolerance as resume: rows are flushed whole, so only the
-        // final line of a shard may be torn.
-        SFS_REQUIRE(is_last, "corrupt checkpoint row " + std::to_string(k) +
-                                 " in " + path);
-        continue;
-      }
-      const auto [it, inserted] = cells.emplace(std::make_pair(i, rep),
-                                                fields[3]);
-      SFS_REQUIRE(inserted || it->second == fields[3],
-                  "shards disagree on cell (size_index=" + std::to_string(i) +
-                      ", rep=" + std::to_string(rep) + "): " + path);
-    }
+    // Same row rules as resume.
+    for_each_checkpoint_cell(
+        lines, path, sizes, reps,
+        [&](std::size_t i, std::size_t rep, double, const std::string& text) {
+          const auto [it, inserted] =
+              cells.emplace(std::make_pair(i, rep), text);
+          SFS_REQUIRE(inserted || it->second == text,
+                      "shards disagree on cell (size_index=" +
+                          std::to_string(i) + ", rep=" + std::to_string(rep) +
+                          "): " + path);
+        });
   }
 
   std::ofstream out(output, std::ios::trunc);

@@ -36,16 +36,32 @@ struct WorkerState {
   bool initialized = false;
 };
 
+// The per-model call of the shared measurement loop.
+search::SearchResult run_one(const graph::Graph& g, VertexId s, VertexId t,
+                             search::WeakSearcher& policy, rng::Rng& rng,
+                             const search::RunBudget& budget,
+                             search::SearchWorkspace& ws) {
+  return search::run_weak(g, s, t, policy, rng, budget, &ws);
+}
+
+search::SearchResult run_one(const graph::Graph& g, VertexId s, VertexId t,
+                             search::StrongSearcher& policy, rng::Rng& rng,
+                             const search::RunBudget& budget,
+                             search::SearchWorkspace& ws) {
+  return search::run_strong(g, s, t, policy, rng, budget, &ws);
+}
+
 // MakeGraph: (rng, WorkerState&) -> const Graph&, so plain and
-// scratch-aware factories share the measurement loop.
-template <typename Portfolio, typename RunOne, typename MakeGraph>
-PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
-                                     const EndpointSelector& endpoints,
-                                     std::size_t reps, std::uint64_t seed,
-                                     rng::StreamPlanVersion stream_plan,
-                                     const Portfolio& portfolio_factory,
-                                     const RunOne& run_one,
-                                     std::size_t threads) {
+// scratch-aware factories share the measurement loop; Portfolio makes one
+// worker's searchers of the plan's model.
+template <typename Portfolio, typename MakeGraph>
+PortfolioCost measure_portfolio_impl(const RunPlan& plan,
+                                     const MakeGraph& make_graph,
+                                     const Portfolio& portfolio_factory) {
+  const std::size_t reps = plan.reps;
+  const std::uint64_t seed = plan.seed;
+  const rng::StreamPlanVersion stream_plan = plan.stream_plan;
+  const std::size_t threads = plan.threads;
   SFS_REQUIRE(reps >= 1, "need at least one replication");
   auto probe = portfolio_factory();
   const std::size_t num_policies = probe.size();
@@ -83,7 +99,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     rng::Rng endpoint_rng(
         rng::StreamPlan(seed, rng::mix64(0xabcdef), stream_plan)
             .stream_seed(rep));
-    const auto [start, target] = endpoints(g, endpoint_rng);
+    const auto [start, target] = plan.endpoints(g, endpoint_rng);
 
     auto& row = results[rep];
     row.resize(num_policies);
@@ -92,7 +108,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
           rng::StreamPlan(seed, rng::mix64(0x5ea7c4 + i), stream_plan)
               .stream_seed(rep));
       row[i] = run_one(g, start, target, *st.policies[i], search_rng,
-                       st.ctx.workspace);
+                       plan.budget, st.ctx.workspace);
     }
   });
 
@@ -174,48 +190,21 @@ const graph::Graph& remake_graph(const ScratchGraphFactory& factory,
   return st.ctx.graph;
 }
 
-using PolicySpecs = std::span<const search::PolicySpec* const>;
-
 template <typename Factory>
-PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
-                                const EndpointSelector& endpoints,
-                                std::size_t reps, std::uint64_t seed,
-                                rng::StreamPlanVersion stream_plan,
-                                const search::RunBudget& budget,
-                                std::size_t threads) {
-  return measure_portfolio_impl(
-      [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
-        return remake_graph(factory, rng, st);
-      },
-      endpoints, reps, seed, stream_plan,
-      [specs] { return search::make_weak_searchers(specs); },
-      [&](const graph::Graph& g, VertexId s, VertexId t,
-          search::WeakSearcher& policy, rng::Rng& rng,
-          search::SearchWorkspace& ws) {
-        return search::run_weak(g, s, t, policy, rng, budget, ws);
-      },
-      threads);
-}
-
-template <typename Factory>
-PortfolioCost measure_strong_plan(PolicySpecs specs, const Factory& factory,
-                                  const EndpointSelector& endpoints,
-                                  std::size_t reps, std::uint64_t seed,
-                                  rng::StreamPlanVersion stream_plan,
-                                  const search::RunBudget& budget,
-                                  std::size_t threads) {
-  return measure_portfolio_impl(
-      [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
-        return remake_graph(factory, rng, st);
-      },
-      endpoints, reps, seed, stream_plan,
-      [specs] { return search::make_strong_searchers(specs); },
-      [&](const graph::Graph& g, VertexId s, VertexId t,
-          search::StrongSearcher& policy, rng::Rng& rng,
-          search::SearchWorkspace& ws) {
-        return search::run_strong(g, s, t, policy, rng, budget, ws);
-      },
-      threads);
+PortfolioCost measure_plan(const RunPlan& plan,
+                           std::span<const search::PolicySpec* const> specs,
+                           const Factory& factory) {
+  const auto make_graph = [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
+    return remake_graph(factory, rng, st);
+  };
+  if (plan.model == search::KnowledgeModel::kWeak) {
+    return measure_portfolio_impl(plan, make_graph, [specs] {
+      return search::make_weak_searchers(specs);
+    });
+  }
+  return measure_portfolio_impl(plan, make_graph, [specs] {
+    return search::make_strong_searchers(specs);
+  });
 }
 
 }  // namespace
@@ -231,24 +220,8 @@ PortfolioCost measure_portfolio(const RunPlan& plan) {
   // duplicates, or a selection that matches nothing — an empty portfolio
   // is a checked error, never a silent empty result.
   const auto specs = search::resolve_policies(plan.model, plan.policies);
-  if (plan.model == search::KnowledgeModel::kWeak) {
-    if (plain) {
-      return measure_weak_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.stream_plan, plan.budget,
-                               plan.threads);
-    }
-    return measure_weak_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.stream_plan,
-                             plan.budget, plan.threads);
-  }
-  if (plain) {
-    return measure_strong_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.stream_plan, plan.budget,
-                               plan.threads);
-  }
-  return measure_strong_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.stream_plan,
-                             plan.budget, plan.threads);
+  return plain ? measure_plan(plan, specs, plan.factory)
+               : measure_plan(plan, specs, plan.scratch_factory);
 }
 
 EndpointSelector oldest_to_newest() {

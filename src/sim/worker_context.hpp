@@ -20,7 +20,7 @@
 namespace sfs::sim {
 
 struct WorkerContext {
-  /// Per-search state for the runner's workspace-reusing overloads.
+  /// Per-search state the runner reuses across this worker's searches.
   search::SearchWorkspace workspace;
   /// Generator arena for the scratch-taking gen/ overloads.
   gen::GenScratch gen_scratch;

@@ -1,6 +1,6 @@
 // Tests for the departure-tolerant runner layer: failed probes absorbed
-// by the RetryBudget, policy restarts, abandonment, and the empty-mask ==
-// static bit-identity invariant that makes churn-rate-0 exact.
+// by the RetryBudget, policy restarts, abandonment, and the all-alive-mask
+// == static bit-identity invariant that makes churn-rate-0 exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,14 +44,17 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.abandoned, b.abandoned);
 }
 
-TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
-  // The churn-rate-0 invariant at the runner level: with no mask the
-  // failure branch is unreachable and consumes no randomness, so the
-  // tolerant loop must reproduce the static loop bit for bit — including
-  // for randomized policies, the hardest case.
+TEST(TolerantRunner, AllAliveMaskIsBitIdenticalToStaticRun) {
+  // The churn-rate-0 invariant at the runner level: under non-empty
+  // all-alive masks every probe takes the masked request path, yet no
+  // probe fails, so the failure branch consumes no randomness and the
+  // masked run must reproduce the static run bit for bit — including for
+  // randomized policies, the hardest case. The static runs also use a
+  // call-local workspace against the masked runs' shared one.
   sfs::rng::Rng gen_rng(77);
   const Graph g =
       sfs::gen::merged_mori_graph(250, 2, sfs::gen::MoriParams{0.5}, gen_rng);
+  const Masks m(g);
   RunBudget budget;
   budget.max_raw_requests = 15000;
   SearchWorkspace ws;
@@ -61,10 +64,9 @@ TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
     auto s1 = registry.find(name)->make_weak();
     auto s2 = registry.find(name)->make_weak();
     sfs::rng::Rng r1(0xBEEF), r2(0xBEEF);
-    const SearchResult fixed =
-        run_weak(g, 3, 200, *s1, r1, budget, ws);
-    const SearchResult tolerant = run_weak_tolerant(
-        g, LivenessView{}, 3, 200, *s2, r2, budget, RetryBudget{}, ws);
+    const SearchResult fixed = run_weak(g, 3, 200, *s1, r1, budget);
+    const SearchResult tolerant =
+        run_weak(g, 3, 200, *s2, r2, budget, &ws, m.view());
     expect_identical(fixed, tolerant);
     EXPECT_EQ(tolerant.failed_requests, 0u);
   }
@@ -72,10 +74,9 @@ TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
     auto s1 = registry.find(name)->make_strong();
     auto s2 = registry.find(name)->make_strong();
     sfs::rng::Rng r1(0xF00D), r2(0xF00D);
-    const SearchResult fixed =
-        run_strong(g, 3, 200, *s1, r1, budget, ws);
-    const SearchResult tolerant = run_strong_tolerant(
-        g, LivenessView{}, 3, 200, *s2, r2, budget, RetryBudget{}, ws);
+    const SearchResult fixed = run_strong(g, 3, 200, *s1, r1, budget);
+    const SearchResult tolerant =
+        run_strong(g, 3, 200, *s2, r2, budget, &ws, m.view());
     expect_identical(fixed, tolerant);
   }
 }
@@ -94,12 +95,11 @@ TEST(TolerantRunner, WeakSearchRestartsPastDeadLinksAndSucceeds) {
 
   auto searcher = PolicyRegistry::instance().find("bfs")->make_weak();
   sfs::rng::Rng rng(1);
-  SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 5;
-  const SearchResult r = run_weak_tolerant(g, m.view(), 0, 6, *searcher, rng,
-                                           RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_weak(g, 0, 6, *searcher, rng, {}, nullptr, m.view(), retry);
   EXPECT_TRUE(r.found);
   EXPECT_FALSE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 5u);  // every dead spoke probed exactly once
@@ -118,12 +118,11 @@ TEST(TolerantRunner, AbandonsWhenRetryBudgetRunsDry) {
 
   auto searcher = PolicyRegistry::instance().find("bfs")->make_weak();
   sfs::rng::Rng rng(1);
-  SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;  // no second chances
-  const SearchResult r = run_weak_tolerant(g, m.view(), 0, 6, *searcher, rng,
-                                           RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_weak(g, 0, 6, *searcher, rng, {}, nullptr, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.restarts, 0u);
@@ -147,9 +146,8 @@ TEST(TolerantRunner, StrongSearchSpendsProbesDiscoveringDepartures) {
 
   auto searcher = PolicyRegistry::instance().find("bfs-strong")->make_strong();
   sfs::rng::Rng rng(2);
-  SearchWorkspace ws;
-  const SearchResult r = run_strong_tolerant(g, m.view(), 0, 4, *searcher, rng,
-                                             RunBudget{}, RetryBudget{}, ws);
+  const SearchResult r =
+      run_strong(g, 0, 4, *searcher, rng, {}, nullptr, m.view());
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.failed_requests, 2u);
   EXPECT_EQ(r.restarts, 0u);  // default streak budget absorbs both
@@ -168,12 +166,11 @@ TEST(TolerantRunner, StrongSearchAbandonsUnreachableTarget) {
 
   auto searcher = PolicyRegistry::instance().find("bfs-strong")->make_strong();
   sfs::rng::Rng rng(3);
-  SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;
-  const SearchResult r = run_strong_tolerant(g, m.view(), 0, 5, *searcher, rng,
-                                             RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_strong(g, 0, 5, *searcher, rng, {}, nullptr, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 3u);

@@ -65,6 +65,10 @@ TEST(Io, RejectsBadMagic) {
 TEST(Io, RejectsTruncatedEdgeList) {
   EXPECT_THROW((void)from_string("sfsearch-graph v1\n2 2\n0 1\n"),
                std::invalid_argument);
+  // A header claiming ~4e9 edges (a valid EdgeId count) over one row:
+  // truncated, without first reserving for the claimed count.
+  EXPECT_THROW((void)from_string("sfsearch-graph v1\n2 4000000000\n0 1\n"),
+               std::invalid_argument);
 }
 
 TEST(Io, RejectsOutOfRangeEndpoint) {
@@ -75,6 +79,10 @@ TEST(Io, RejectsOutOfRangeEndpoint) {
 TEST(Io, RejectsMalformedHeader) {
   EXPECT_THROW((void)from_string("sfsearch-graph v1\nnot numbers\n"),
                std::invalid_argument);
+  // An edge count beyond EdgeId.
+  EXPECT_THROW(
+      (void)from_string("sfsearch-graph v1\n2 18446744073709551615\n0 1\n"),
+      std::invalid_argument);
 }
 
 TEST(Io, RejectsEmptyInput) {

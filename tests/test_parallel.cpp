@@ -15,6 +15,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
 #include "search/strong_algorithms.hpp"
 #include "search/weak_algorithms.hpp"
@@ -34,6 +35,16 @@ using sfs::sim::measure_portfolio;
 using sfs::sim::oldest_to_newest;
 using sfs::sim::PortfolioCost;
 using sfs::sim::RunPlan;
+
+auto all_weak_searchers() {
+  return sfs::search::make_weak_searchers(
+      sfs::search::resolve_policies(KnowledgeModel::kWeak, {}));
+}
+
+auto all_strong_searchers() {
+  return sfs::search::make_strong_searchers(
+      sfs::search::resolve_policies(KnowledgeModel::kStrong, {}));
+}
 
 sfs::sim::GraphFactory mori_factory(std::size_t n, double p) {
   return [n, p](sfs::rng::Rng& rng) {
@@ -181,9 +192,9 @@ TEST(ParallelScaling, BitIdenticalToSequential) {
             .requests);
   };
   const auto seq =
-      sfs::sim::measure_scaling(sizes, 5, 99, measure, /*threads=*/1);
+      sfs::sim::measure_scaling(sizes, 5, 99, measure, {.threads = 1});
   const auto par =
-      sfs::sim::measure_scaling(sizes, 5, 99, measure, /*threads=*/4);
+      sfs::sim::measure_scaling(sizes, 5, 99, measure, {.threads = 4});
   ASSERT_EQ(seq.points.size(), par.points.size());
   for (std::size_t i = 0; i < seq.points.size(); ++i) {
     EXPECT_EQ(seq.points[i].raw, par.points[i].raw);
@@ -212,19 +223,19 @@ TEST(SearchWorkspace, WeakReuseMatchesFreshRunForRun) {
       sfs::rng::Rng g_rng(seed);
       const Graph g =
           sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, g_rng);
-      const auto portfolio = sfs::search::weak_portfolio();
+      const auto portfolio = all_weak_searchers();
       for (std::size_t i = 0; i < portfolio.size(); ++i) {
         const auto budget =
             sfs::search::RunBudget{.max_raw_requests = 100000};
         sfs::rng::Rng r1(seed ^ (i + 17));
         sfs::rng::Rng r2(seed ^ (i + 17));
-        const auto fresh_portfolio = sfs::search::weak_portfolio();
+        const auto fresh_portfolio = all_weak_searchers();
         const SearchResult fresh = sfs::search::run_weak(
             g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1,
             budget);
         const SearchResult reused = sfs::search::run_weak(
             g, 0, static_cast<VertexId>(n - 1), *portfolio[i], r2, budget,
-            ws);
+            &ws);
         expect_same_result(fresh, reused);
       }
     }
@@ -236,15 +247,15 @@ TEST(SearchWorkspace, StrongReuseMatchesFresh) {
   for (const std::size_t n : {150, 60, 300}) {
     sfs::rng::Rng g_rng(n);
     const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.4}, g_rng);
-    const auto portfolio = sfs::search::strong_portfolio();
+    const auto portfolio = all_strong_searchers();
     for (std::size_t i = 0; i < portfolio.size(); ++i) {
       sfs::rng::Rng r1(i + 3);
       sfs::rng::Rng r2(i + 3);
-      const auto fresh_portfolio = sfs::search::strong_portfolio();
+      const auto fresh_portfolio = all_strong_searchers();
       const SearchResult fresh = sfs::search::run_strong(
           g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1);
       const SearchResult reused = sfs::search::run_strong(
-          g, 0, static_cast<VertexId>(n - 1), *portfolio[i], r2, {}, ws);
+          g, 0, static_cast<VertexId>(n - 1), *portfolio[i], r2, {}, &ws);
       expect_same_result(fresh, reused);
     }
   }

@@ -91,39 +91,34 @@ TEST(GlobalPolicyRegistry, HoldsTheBuiltInPortfolios) {
   }
 }
 
-TEST(GlobalPolicyRegistry, WeakOrderMatchesLegacyPortfolio) {
-  // Bit-compatibility contract: the registry order IS the legacy
-  // weak_portfolio() order (the sweep engine tags per-policy RNG streams
-  // by portfolio index, so this order is pinned).
-  const std::vector<std::string> legacy{
+TEST(GlobalPolicyRegistry, WeakPortfolioOrderIsPinned) {
+  // Bit-compatibility contract: the full portfolio is the registration
+  // order (the sweep engine tags per-policy RNG streams by portfolio
+  // index, so this order is pinned by every pinned-seed golden).
+  const std::vector<std::string> pinned{
       "bfs",           "dfs",           "degree-greedy",
       "min-id-greedy", "max-id-greedy", "random-frontier",
       "frontier-walk", "no-backtrack-walk", "random-walk",
       "weak-sim(degree-greedy-strong)"};
-  const auto specs =
-      PolicyRegistry::instance().all(KnowledgeModel::kWeak);
-  ASSERT_EQ(specs.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(specs[i]->name, legacy[i]) << "index " << i;
+  const auto specs = resolve_policies(KnowledgeModel::kWeak, {});
+  ASSERT_EQ(specs.size(), pinned.size());
+  const auto searchers = sfs::search::make_weak_searchers(specs);
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(specs[i]->name, pinned[i]) << "index " << i;
+    EXPECT_EQ(searchers[i]->name(), pinned[i]) << "index " << i;
   }
-  // And weak_portfolio() (now registry-backed) agrees.
-  EXPECT_EQ(sfs::search::weak_portfolio_names(), legacy);
 }
 
-TEST(GlobalPolicyRegistry, StrongOrderMatchesLegacyPortfolio) {
-  const std::vector<std::string> legacy{
+TEST(GlobalPolicyRegistry, StrongPortfolioOrderIsPinned) {
+  const std::vector<std::string> pinned{
       "degree-greedy-strong", "bfs-strong", "random-strong",
       "min-id-strong", "max-id-strong"};
-  const auto specs =
-      PolicyRegistry::instance().all(KnowledgeModel::kStrong);
-  ASSERT_EQ(specs.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(specs[i]->name, legacy[i]) << "index " << i;
-  }
-  const auto portfolio = sfs::search::strong_portfolio();
-  ASSERT_EQ(portfolio.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(portfolio[i]->name(), legacy[i]) << "index " << i;
+  const auto specs = resolve_policies(KnowledgeModel::kStrong, {});
+  ASSERT_EQ(specs.size(), pinned.size());
+  const auto searchers = sfs::search::make_strong_searchers(specs);
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(specs[i]->name, pinned[i]) << "index " << i;
+    EXPECT_EQ(searchers[i]->name(), pinned[i]) << "index " << i;
   }
 }
 

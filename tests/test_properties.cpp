@@ -8,8 +8,8 @@
 #include "gen/cooper_frieze.hpp"
 #include "gen/mori.hpp"
 #include "graph/algorithms.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
-#include "search/weak_algorithms.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
@@ -61,8 +61,11 @@ TEST_P(ModelPolicyProperty, SearchInvariants) {
   const Graph g = make_model(model, 250, graph_rng);
   ASSERT_TRUE(sfs::graph::is_connected(g)) << model_name(model);
 
-  auto portfolio = sfs::search::weak_portfolio();
-  auto& policy = *portfolio.at(policy_idx);
+  const auto searcher =
+      sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {})
+          .at(policy_idx)
+          ->make_weak();
+  auto& policy = *searcher;
   Rng rng(0xF00D);
   const auto target = static_cast<VertexId>(g.num_vertices() - 1);
   const auto r = sfs::search::run_weak(

@@ -134,10 +134,9 @@ TEST(QueryEngine, LegacyStreamPlanReproducesPreVersioningStreams) {
     // SFS_LINT_ALLOW(raw-derive): replays the frozen kLegacy per-query stream by hand
     sfs::rng::Rng rng(sfs::rng::derive_stream_seed(options.seed, tag, i));
     sfs::search::BfsWeak searcher;
-    sfs::search::SearchWorkspace ws;
-    const auto expected = sfs::search::run_weak(
-        g, queries[i].start, queries[i].target, searcher, rng,
-        options.budget, ws);
+    const auto expected =
+        sfs::search::run_weak(g, queries[i].start, queries[i].target,
+                              searcher, rng, options.budget);
     EXPECT_EQ(results[i].requests, expected.requests) << i;
     EXPECT_EQ(results[i].raw_requests, expected.raw_requests) << i;
     EXPECT_EQ(results[i].path_length, expected.path_length) << i;
@@ -273,18 +272,17 @@ TEST(QueryEngineOverlay, ChurnedBatchEqualsPerQueryTolerantRuns) {
           sfs::rng::StreamPlan(options.seed, sfs::rng::mix64(0x10e57ULL),
                                sfs::rng::StreamPlanVersion::kCounter)
               .stream_seed(i));
-      sfs::search::SearchWorkspace ws;
       const Query& q = queries[i];
       if (spec->model == sfs::search::KnowledgeModel::kWeak) {
         const auto searcher = spec->make_weak();
-        expected.push_back(sfs::search::run_weak_tolerant(
-            overlay.snapshot(), liveness, q.start, q.target, *searcher, rng,
-            options.budget, options.retry, ws));
+        expected.push_back(sfs::search::run_weak(
+            overlay.snapshot(), q.start, q.target, *searcher, rng,
+            options.budget, nullptr, liveness, options.retry));
       } else {
         const auto searcher = spec->make_strong();
-        expected.push_back(sfs::search::run_strong_tolerant(
-            overlay.snapshot(), liveness, q.start, q.target, *searcher, rng,
-            options.budget, options.retry, ws));
+        expected.push_back(sfs::search::run_strong(
+            overlay.snapshot(), q.start, q.target, *searcher, rng,
+            options.budget, nullptr, liveness, options.retry));
       }
     }
     std::size_t failed = 0;

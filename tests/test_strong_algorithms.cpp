@@ -7,6 +7,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
 
 namespace {
@@ -15,9 +16,10 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
+using sfs::search::KnowledgeModel;
+using sfs::search::resolve_policies;
 using sfs::search::run_strong;
 using sfs::search::SearchResult;
-using sfs::search::strong_portfolio;
 
 Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
@@ -28,8 +30,9 @@ Graph path_graph(std::size_t n) {
 class StrongPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
   std::unique_ptr<sfs::search::StrongSearcher> make() {
-    auto portfolio = strong_portfolio();
-    return std::move(portfolio.at(GetParam()));
+    return resolve_policies(KnowledgeModel::kStrong, {})
+        .at(GetParam())
+        ->make_strong();
   }
 };
 
@@ -84,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, StrongPortfolio,
                          ::testing::Range<std::size_t>(0, 5));
 
 TEST(StrongPortfolioMeta, NamesUnique) {
-  auto portfolio = strong_portfolio();
+  const auto portfolio = sfs::search::make_strong_searchers(
+      resolve_policies(KnowledgeModel::kStrong, {}));
   std::set<std::string> names;
   for (const auto& s : portfolio) names.insert(s->name());
   EXPECT_EQ(names.size(), portfolio.size());

@@ -7,6 +7,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
 
 namespace {
@@ -15,11 +16,11 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
+using sfs::search::KnowledgeModel;
+using sfs::search::resolve_policies;
 using sfs::search::run_weak;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
-using sfs::search::weak_portfolio;
-using sfs::search::weak_portfolio_names;
 
 Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
@@ -40,8 +41,9 @@ Graph star_with_tail() {
 class WeakPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
   std::unique_ptr<sfs::search::WeakSearcher> make() {
-    auto portfolio = weak_portfolio();
-    return std::move(portfolio.at(GetParam()));
+    return resolve_policies(KnowledgeModel::kWeak, {})
+        .at(GetParam())
+        ->make_weak();
   }
 };
 
@@ -103,7 +105,10 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, WeakPortfolio,
                          ::testing::Range<std::size_t>(0, 10));
 
 TEST(WeakPortfolioMeta, NamesAreUniqueAndNonEmpty) {
-  const auto names = weak_portfolio_names();
+  std::vector<std::string> names;
+  for (const auto* spec : resolve_policies(KnowledgeModel::kWeak, {})) {
+    names.push_back(spec->name);
+  }
   EXPECT_EQ(names.size(), 10u);
   std::set<std::string> unique(names.begin(), names.end());
   EXPECT_EQ(unique.size(), names.size());
