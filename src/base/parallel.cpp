@@ -1,12 +1,15 @@
 #include "base/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "base/check.hpp"
 #include "base/sync.hpp"
 #include "base/thread_annotations.hpp"
 
@@ -26,13 +29,15 @@ std::size_t default_worker_count() {
     errno = 0;
     const long v = std::strtol(env, &end, 10);
     // Out-of-range values (strtol clamps to LONG_MAX/LONG_MIN with ERANGE)
-    // fall back to hardware concurrency like any other garbage.
-    if (end != env && *end == '\0' && errno == 0 && v > 0) {
+    // and values above kMaxWorkers fall back to hardware concurrency like
+    // any other garbage.
+    if (end != env && *end == '\0' && errno == 0 && v > 0 &&
+        static_cast<unsigned long>(v) <= kMaxWorkers) {
       return static_cast<std::size_t>(v);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(hw, 1, kMaxWorkers);
 }
 
 struct ThreadPool::Impl {
@@ -121,7 +126,12 @@ struct ThreadPool::Impl {
   }
 };
 
-ThreadPool::ThreadPool(std::size_t workers) : impl_(new Impl) {
+ThreadPool::ThreadPool(std::size_t workers) {
+  SFS_REQUIRE(workers <= kMaxWorkers,
+              "a pool of " + std::to_string(workers) +
+                  " workers exceeds kMaxWorkers (" +
+                  std::to_string(kMaxWorkers) + ")");
+  impl_ = new Impl;
   impl_->workers = workers == 0 ? default_worker_count() : workers;
   try {
     impl_->threads.reserve(impl_->workers - 1);

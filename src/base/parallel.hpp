@@ -28,9 +28,15 @@
 
 namespace sfs::base {
 
+/// Upper bound on the workers of one pool. A pool of n workers starts n - 1
+/// threads at construction, so a typo in a thread count must fail instead
+/// of asking the OS for that many threads.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 /// Worker count used when a caller passes `threads == 0`: the value of the
-/// SFS_THREADS environment variable if set and positive, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
+/// SFS_THREADS environment variable if set, positive and at most
+/// kMaxWorkers, otherwise std::thread::hardware_concurrency() (clamped to
+/// [1, kMaxWorkers]).
 [[nodiscard]] std::size_t default_worker_count();
 
 /// A small fixed-size thread pool. The calling thread participates as
@@ -46,7 +52,9 @@ namespace sfs::base {
 /// deadlock or thread explosion.
 class ThreadPool {
  public:
-  /// `workers == 0` selects default_worker_count().
+  /// `workers == 0` selects default_worker_count(). Throws
+  /// std::invalid_argument, before starting any thread, if `workers`
+  /// exceeds kMaxWorkers.
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 

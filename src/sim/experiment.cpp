@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "base/check.hpp"
+#include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "sim/table.hpp"
@@ -277,10 +278,11 @@ bool parse_experiment_cli(const std::vector<std::string>& args,
     } else if (arg == "--threads") {
       if (!once(out.options.has_threads, arg)) return false;
       if (!value_of(i, value)) return false;
-      if (!parse_size(value, out.options.threads)) {
-        error = "--threads expects a non-negative integer (0 = shared "
-                "pool), got '" +
-                value + "'";
+      if (!parse_size(value, out.options.threads) ||
+          out.options.threads > base::kMaxWorkers) {
+        error = "--threads expects an integer in [0, " +
+                std::to_string(base::kMaxWorkers) +
+                "] (0 = shared pool), got '" + value + "'";
         return false;
       }
       out.options.has_threads = true;

@@ -1,5 +1,6 @@
 #include "sim/scaling.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -310,10 +311,10 @@ void fit_series(ScalingSeries& series) {
 }
 
 // Shared cell runner for the full and sharded entry points: restores
-// checkpointed cells, enumerates the pending cells this shard owns in the
-// flattened (i * reps + r) task order, and measures them. The returned
-// series holds raw values only (no summaries/fit) — the unsharded path
-// folds it, the sharded path discards it (the checkpoint is the output).
+// checkpointed cells, enumerates the pending cells this shard owns, and
+// measures them largest n first. The returned series holds raw values
+// only (no summaries/fit) — the unsharded path folds it, the sharded path
+// discards it (the checkpoint is the output).
 // Invoke: (n, cell_seed, worker) -> double, shared by the plain and
 // scratch-aware overloads.
 template <typename Invoke>
@@ -358,11 +359,18 @@ std::size_t run_scaling_cells(const std::vector<std::size_t>& sizes,
     }
   }
 
-  // Fan the whole size x replication grid out at once: sizes near the top
-  // of the sweep dominate the cost, so scheduling the grid dynamically
-  // keeps workers busy across size boundaries. Each cell's seed depends
-  // only on (i, r), and each cell writes its own slot, so the series is
+  // Dispatch largest n first (LPT order). A cell's cost grows with n, so
+  // claiming the grid in ascending order leaves the top-size cells to
+  // start last and run alone while the other workers idle; claimed first,
+  // they overlap each other and the cheap cells fill the tail. The sort is
+  // stable, so equal sizes keep their (i, r) order, and `sizes` need not
+  // be sorted. Only the claim order changes: each cell's seed depends only
+  // on (i, r) and each cell writes its own slot, so the series is
   // identical for any thread count.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a / reps] > sizes[b / reps];
+                   });
   base::parallel_for(
       pending.size(), options.threads,
       [&](std::size_t idx, std::size_t worker) {

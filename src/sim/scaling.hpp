@@ -116,9 +116,12 @@ struct ScalingOptions {
 /// up non-positive are listed in ScalingSeries::excluded.
 ///
 /// The size x replication grid is fanned out over the parallel executor
-/// per ScalingOptions::threads. Replication values are stored and folded
-/// in (size, rep) order, so the series is bit-identical for any thread
-/// count — and, via the checkpoint, across interrupted/resumed runs.
+/// per ScalingOptions::threads. Cells are dispatched largest n first (ties
+/// in (size, rep) order), so `measure` must not depend on call order, and
+/// checkpoint rows appear in completion order. Replication values are
+/// stored and folded in (size, rep) order, so the series is bit-identical
+/// for any thread count — and, via the checkpoint, across
+/// interrupted/resumed runs.
 [[nodiscard]] ScalingSeries measure_scaling(
     const std::vector<std::size_t>& sizes, std::size_t reps,
     std::uint64_t seed,
@@ -141,12 +144,15 @@ struct ScalingOptions {
 /// streams them to ScalingOptions::checkpoint_path (required — the
 /// checkpoint IS the shard's output; there is no folded series to
 /// return). Cell ownership is `(i * reps + r) % shard_count ==
-/// shard_index` over the same flattened task order the unsharded run
-/// uses, and every cell's seed stays the pure (size, rep) derivation —
-/// so k shard processes writing k checkpoints, merged with
-/// merge_checkpoints and folded by pointing an unsharded measure_scaling
-/// at the merged file, produce a ScalingSeries bit-identical to one
-/// process computing the whole grid, at any thread count per shard.
+/// shard_index` over the same flattened task index the unsharded run
+/// uses; the owned cells are dispatched largest n first like the unsharded
+/// run's, so `measure` must not depend on call order, and checkpoint rows
+/// appear in completion order. Every cell's seed stays the pure (size,
+/// rep) derivation — so k shard processes writing k checkpoints, merged
+/// with merge_checkpoints and folded by pointing an unsharded
+/// measure_scaling at the merged file, produce a ScalingSeries
+/// bit-identical to one process computing the whole grid, at any thread
+/// count per shard.
 /// Resumable like any checkpointed run: cells already in this shard's
 /// file are skipped. Returns the number of cells measured by this call.
 std::size_t measure_scaling_shard(

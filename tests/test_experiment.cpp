@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "base/parallel.hpp"
 #include "rng/stream_audit.hpp"
 
 namespace {
@@ -218,6 +219,22 @@ TEST(ExperimentCli, RepeatedValueFlagsRejected) {
   EXPECT_TRUE(parse_experiment_cli({"--run", "e1", "--quick", "--quick"},
                                    req, error))
       << error;
+}
+
+TEST(ExperimentCli, ThreadsAboveMaxWorkersRejected) {
+  // Parsing starts no thread; a pool of this size is never built.
+  CliRequest req;
+  std::string error;
+  EXPECT_FALSE(parse_experiment_cli({"--run", "e1", "--threads", "100000"},
+                                    req, error));
+  EXPECT_NE(error.find("--threads"), std::string::npos) << error;
+  EXPECT_NE(error.find("100000"), std::string::npos) << error;
+
+  CliRequest at_bound;
+  EXPECT_TRUE(parse_experiment_cli({"--run", "e1", "--threads", "256"},
+                                   at_bound, error))
+      << error;
+  EXPECT_EQ(at_bound.options.threads, sfs::base::kMaxWorkers);
 }
 
 TEST(ExperimentCli, EmptyPathValuesRejected) {

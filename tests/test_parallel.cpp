@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/mori.hpp"
@@ -116,6 +119,37 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     });
   });
   for (const auto& h : inner_hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, RejectsMoreThanMaxWorkersBeforeSpawning) {
+  // The bound is checked before the spawn loop, so these start no thread.
+  using sfs::base::kMaxWorkers;
+  EXPECT_THROW(sfs::base::ThreadPool pool(kMaxWorkers + 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sfs::base::ThreadPool pool(std::numeric_limits<std::size_t>::max()),
+      std::invalid_argument);
+}
+
+TEST(DefaultWorkerCount, SfsThreadsAboveMaxFallsBackToHardware) {
+  // Reads the environment only: no pool is built, no thread started.
+  const char* saved = std::getenv("SFS_THREADS");
+  const std::string previous = saved != nullptr ? saved : "";
+  const std::size_t hardware = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, sfs::base::kMaxWorkers);
+
+  ::setenv("SFS_THREADS", "100000", 1);
+  EXPECT_EQ(sfs::base::default_worker_count(), hardware);
+  ::setenv("SFS_THREADS", "257", 1);
+  EXPECT_EQ(sfs::base::default_worker_count(), hardware);
+  ::setenv("SFS_THREADS", "256", 1);
+  EXPECT_EQ(sfs::base::default_worker_count(), sfs::base::kMaxWorkers);
+
+  if (saved != nullptr) {
+    ::setenv("SFS_THREADS", previous.c_str(), 1);
+  } else {
+    ::unsetenv("SFS_THREADS");
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossJobs) {

@@ -10,8 +10,11 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "rng/random.hpp"
+#include "rng/stream_audit.hpp"
 
 namespace {
 
@@ -94,6 +97,63 @@ TEST(MeasureScaling, SeedsAreDeterministic) {
   // Distinct seeds across reps and sizes.
   std::set<double> unique(seen_a.begin(), seen_a.end());
   EXPECT_EQ(unique.size(), seen_a.size());
+}
+
+TEST(MeasureScaling, DispatchesLargestSizesFirst) {
+  // Cells are claimed largest n first, reps ascending within a size; the
+  // caller's `sizes` need not be sorted. Call order must move nothing
+  // else: points stay in the caller's order, each cell keeps its (i, r)
+  // seed, and the series is the same bits at any thread count.
+  constexpr std::uint64_t kSeed = 0xD15;
+  constexpr std::size_t kReps = 3;
+  for (const std::vector<std::size_t>& sizes :
+       {std::vector<std::size_t>{16, 32, 64, 128},
+        std::vector<std::size_t>{32, 128, 16, 64}}) {
+    // Sequential, so the recording lambda needs no lock. It returns its
+    // 1-based call position, which raw[r] of point i then records.
+    std::vector<std::pair<std::size_t, std::uint64_t>> calls;
+    const auto series = measure_scaling(
+        sizes, kReps, kSeed,
+        [&](std::size_t n, std::uint64_t seed) {
+          calls.emplace_back(n, seed);
+          return static_cast<double>(calls.size());
+        },
+        {.threads = 1});
+    ASSERT_EQ(calls.size(), sizes.size() * kReps);
+    for (std::size_t k = 1; k < calls.size(); ++k) {
+      EXPECT_GE(calls[k - 1].first, calls[k].first) << "call " << k;
+    }
+    ASSERT_EQ(series.points.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(series.points[i].n, sizes[i]);
+      for (std::size_t r = 0; r < kReps; ++r) {
+        const auto position =
+            static_cast<std::size_t>(series.points[i].raw[r]) - 1;
+        ASSERT_LT(position, calls.size());
+        EXPECT_EQ(calls[position].first, sizes[i]);
+        EXPECT_EQ(calls[position].second,
+                  sfs::rng::audited_stream_seed(
+                      kSeed, sfs::rng::mix64(0x9e37 + i), r));
+        if (r > 0) {
+          EXPECT_LT(series.points[i].raw[r - 1], series.points[i].raw[r]);
+        }
+      }
+    }
+
+    auto measure = [](std::size_t n, std::uint64_t seed) {
+      sfs::rng::Rng rng(seed);
+      return std::sqrt(static_cast<double>(n)) * rng.uniform(0.5, 1.5);
+    };
+    ScalingOptions options;
+    options.bootstrap_replicates = 50;
+    options.threads = 1;
+    const auto sequential = measure_scaling(sizes, kReps, kSeed, measure,
+                                            options);
+    options.threads = 4;
+    expect_bit_identical(sequential,
+                         measure_scaling(sizes, kReps, kSeed, measure,
+                                         options));
+  }
 }
 
 TEST(MeasureScaling, MeansAndSizesHelpers) {

@@ -11,9 +11,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rng/random.hpp"
+#include "rng/stream_audit.hpp"
 
 namespace {
 
@@ -188,6 +190,34 @@ TEST(ScalingShard, ShardResumeSkipsCompletedCells) {
       options, 0, 2);
   EXPECT_EQ(measured, 0u);
   EXPECT_EQ(calls.load(), first);
+}
+
+TEST(MeasureScalingShard, OwnershipUnchangedOrderLargestFirst) {
+  // Shard 1/2 owns the cells whose flattened index i * reps + r is odd
+  // and measures them n descending, reps ascending within a size.
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {3, 0}, {3, 2}, {2, 1}, {1, 0}, {1, 2}, {0, 1}};
+  std::vector<std::pair<std::size_t, std::uint64_t>> calls;
+  ScalingOptions options = base_options();  // threads = 1: no lock needed
+  options.checkpoint_path = temp_path("order_1of2");
+  const std::size_t measured = measure_scaling_shard(
+      kSizes, kReps, kSeed,
+      [&](std::size_t n, std::uint64_t s) {
+        calls.emplace_back(n, s);
+        return synthetic_measure(n, s);
+      },
+      options, 1, 2);
+  EXPECT_EQ(measured, expected.size());
+  ASSERT_EQ(calls.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    const auto [i, r] = expected[k];
+    EXPECT_EQ((i * kReps + r) % 2, 1u);
+    EXPECT_EQ(calls[k].first, kSizes[i]) << "call " << k;
+    EXPECT_EQ(calls[k].second,
+              sfs::rng::audited_stream_seed(kSeed,
+                                            sfs::rng::mix64(0x9e37 + i), r))
+        << "call " << k;
+  }
 }
 
 TEST(ScalingShard, RejectsBadShardArguments) {
