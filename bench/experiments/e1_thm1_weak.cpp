@@ -16,6 +16,7 @@
 
 #include "core/theory.hpp"
 #include "gen/mori.hpp"
+#include "search/policy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/table.hpp"
 #include "sim/sweep.hpp"
@@ -148,8 +149,10 @@ int run_e1(ExperimentContext& ctx) {
   ctx.console()
       << "Theorem 1 (weak model): expected requests = Omega(sqrt(n)) "
          "for ALL weak-model algorithms.\n"
-         "Empirical stand-in for 'all algorithms': min over an "
-         "8-policy portfolio.\n\n";
+         "Empirical stand-in for 'all algorithms': min over a "
+      << sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {})
+             .size()
+      << "-policy portfolio.\n\n";
   if (ctx.options.large || ctx.options.quick) return run_grid(ctx);
   const auto sizes = ctx.sizes_or({1024, 2048, 4096, 8192, 16384});
   const auto reps = ctx.reps_or(5);

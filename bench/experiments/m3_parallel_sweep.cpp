@@ -1,17 +1,13 @@
-// M3 — parallel replication engine: sequential vs parallel portfolio
-// throughput, and a bit-identity audit of the deterministic fan-out.
+// M3 — parallel replication engine: a bit-identity audit of the
+// deterministic fan-out.
 //
 // For each n, runs the full weak portfolio (10 policies) over `reps`
 // freshly generated merged Mori graphs twice: once with threads=1 (the
 // sequential engine) and once with the parallel worker count (--threads,
-// default the shared pool). Reports throughput in units of
-// "graphs+searches per second" (each replication builds 1 graph and runs
-// 10 searches) and the parallel speedup, then verifies the two
-// PortfolioCost results are bit-identical — the per-rep seed derivation
-// plus ordered fold make the parallel path a pure performance transform.
-//
-// Expected: speedup approaching the core count on multi-core hosts;
-// exactly 1x on a single-core host, still bit-identical.
+// default the shared pool), then verifies the two PortfolioCost results
+// are bit-identical — the per-rep seed derivation plus ordered fold make
+// the parallel path a pure performance transform. The pool's speedup is
+// measured by perfbench (`base.pool_speedup`), not here.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -19,6 +15,7 @@
 #include "base/parallel.hpp"
 #include "gen/mori.hpp"
 #include "sim/experiment.hpp"
+#include "sim/json.hpp"
 #include "sim/sweep.hpp"
 #include "sim/table.hpp"
 
@@ -51,19 +48,11 @@ bool bit_identical(const PortfolioCost& a, const PortfolioCost& b) {
   return true;
 }
 
-struct Measurement {
-  PortfolioCost cost;
-  double wall_s = 0.0;
-  double throughput = 0.0;  // graphs+searches per second
-};
-
-Measurement run_once(std::size_t n, std::size_t reps, std::uint64_t seed,
-                     std::size_t threads) {
+PortfolioCost run_once(std::size_t n, std::size_t reps, std::uint64_t seed,
+                       std::size_t threads) {
   const std::size_t m = 2;
   const double p = 0.5;
-  sfs::sim::WallTimer timer;
-  Measurement out;
-  out.cost = sfs::sim::measure_portfolio({
+  return sfs::sim::measure_portfolio({
       .factory =
           [n, m, p](Rng& rng) {
             return sfs::gen::merged_mori_graph(n, m, sfs::gen::MoriParams{p},
@@ -75,11 +64,6 @@ Measurement run_once(std::size_t n, std::size_t reps, std::uint64_t seed,
       .budget = {.max_raw_requests = 40 * n},
       .threads = threads,
   });
-  out.wall_s = timer.seconds();
-  const std::size_t policies = out.cost.policies.size();
-  out.throughput =
-      static_cast<double>(reps * (1 + policies)) / out.wall_s;
-  return out;
 }
 
 int run_m3(ExperimentContext& ctx) {
@@ -103,28 +87,29 @@ int run_m3(ExperimentContext& ctx) {
                 << reps << " reps, " << workers << " worker(s)\n\n";
 
   sfs::sim::Table t("sequential vs parallel portfolio measurement",
-                    {"n", "seq wall s", "par wall s", "seq thru",
-                     "par thru", "speedup", "identical"});
+                    {"n", "best policy", "best mean requests", "identical"});
   bool all_identical = true;
   for (const std::size_t n : sizes) {
     const std::uint64_t seed = ctx.stream_seed("n=" + std::to_string(n));
-    const Measurement seq = run_once(n, reps, seed, /*threads=*/1);
-    const Measurement par = run_once(n, reps, seed, par_threads);
-    const bool same = bit_identical(seq.cost, par.cost);
+    const PortfolioCost seq = run_once(n, reps, seed, /*threads=*/1);
+    const PortfolioCost par = run_once(n, reps, seed, par_threads);
+    const bool same = bit_identical(seq, par);
     all_identical = all_identical && same;
-    const double speedup = seq.wall_s / par.wall_s;
+    const auto& best = seq.best_policy();
     t.row()
         .integer(n)
-        .num(seq.wall_s, 3)
-        .num(par.wall_s, 3)
-        .num(seq.throughput, 1)
-        .num(par.throughput, 1)
-        .num(speedup, 2)
+        .cell(best.name)
+        .num(best.requests.mean, 1)
         .cell(same ? "yes" : "NO");
-    ctx.emitter->emit_point("m3_parallel_sweep_seq", n, reps,
-                            seq.throughput, 0.0, seq.wall_s);
-    ctx.emitter->emit_point("m3_parallel_sweep_par", n, reps,
-                            par.throughput, 0.0, par.wall_s);
+
+    sfs::sim::JsonObjectWriter json;
+    json.str_field("bench", "m3_parallel_sweep");
+    json.int_field("n", n);
+    json.int_field("reps", reps);
+    json.str_field("best_policy", best.name);
+    json.num_field("best_mean_requests", best.requests.mean);
+    json.bool_field("bit_identical", same);
+    ctx.emitter->emit_object(json.str());
   }
   t.print(ctx.console());
   ctx.console() << "\nbit-identical across thread counts: "
@@ -134,9 +119,9 @@ int run_m3(ExperimentContext& ctx) {
 
 const sfs::sim::ExperimentRegistrar reg_m3({
     .name = "m3",
-    .title = "Parallel replication engine: speedup + bit-identity audit",
-    .claim = "Machine benchmark: the deterministic fan-out is a pure "
-             "performance transform (sequential == parallel bit for bit)",
+    .title = "Parallel replication engine: bit-identity audit",
+    .claim = "The deterministic fan-out is a pure performance transform "
+             "(sequential == parallel bit for bit)",
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
             sfs::sim::kCapSeed | sfs::sim::kCapThreads,
     .params =

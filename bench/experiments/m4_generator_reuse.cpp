@@ -1,18 +1,15 @@
-// M4 — reusable generation subsystem: fresh-allocation vs scratch-reusing
-// generator throughput, with a bit-identity audit.
+// M4 — reusable generation subsystem: a bit-identity audit of the
+// scratch-reusing generator overloads.
 //
-// For each of the seven generators, runs `reps` replications twice: once
-// through the fresh path (every replication allocates its preference bags,
-// stub lists, weight tables, dedup sets and CSR arrays from scratch) and
-// once through the gen::GenScratch overloads (all buffers recycled, CSR
-// arrays rebuilt in place via GraphBuilder::build_into). Reports
-// graphs-per-second for both paths and the reuse speedup, then audits that
-// the two paths produce bit-identical graphs for every replication — the
-// scratch overloads are a pure performance transform (same pattern as
-// m3's sequential-vs-parallel audit).
-//
-// Expected: measurable speedup on the allocation-dominated generators;
-// identical output everywhere.
+// For each of the seven generators, runs `reps` replications through both
+// the fresh path (every replication allocates its preference bags, stub
+// lists, weight tables, dedup sets and CSR arrays from scratch) and the
+// gen::GenScratch overloads (all buffers recycled across replications,
+// CSR arrays rebuilt in place via GraphBuilder::build_into), and audits
+// that the two paths produce bit-identical graphs for every replication —
+// the scratch overloads are a pure performance transform (same pattern as
+// m3's sequential-vs-parallel audit). Generation throughput is measured
+// by perfbench (`gen.mvertices_per_s`), not here.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -30,6 +27,7 @@
 #include "gen/scratch.hpp"
 #include "rng/random.hpp"
 #include "sim/experiment.hpp"
+#include "sim/json.hpp"
 #include "sim/table.hpp"
 
 namespace {
@@ -52,36 +50,16 @@ bool same_graph(const Graph& a, const Graph& b) {
 struct GenCase {
   std::string name;
   std::size_t n = 0;  // reported problem size
-  // Runs one replication; the audit variant returns "bit-identical?".
-  std::function<void(std::uint64_t)> fresh;
-  std::function<void(std::uint64_t)> reused;
+  // Runs one replication down both paths; returns "bit-identical?".
   std::function<bool(std::uint64_t)> audit;
 };
 
-struct CaseResult {
-  double fresh_s = 0.0;
-  double reused_s = 0.0;
+bool run_case(const GenCase& c, std::size_t reps, std::uint64_t base_seed) {
   bool identical = true;
-};
-
-CaseResult run_case(const GenCase& c, std::size_t reps,
-                    std::uint64_t base_seed) {
-  const auto rep_seed = [base_seed](std::uint64_t rep) {
-    return sfs::rng::derive_seed(base_seed, rep);
-  };
-  CaseResult out;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    out.identical = out.identical && c.audit(rep_seed(rep));
+    identical = identical && c.audit(sfs::rng::derive_seed(base_seed, rep));
   }
-  // Warm the scratch before timing the reused path, the way a replication
-  // harness runs in steady state (the fresh path has no state to warm).
-  sfs::sim::WallTimer timer;
-  for (std::size_t rep = 0; rep < reps; ++rep) c.fresh(rep_seed(rep));
-  out.fresh_s = timer.seconds();
-  timer.reset();
-  for (std::size_t rep = 0; rep < reps; ++rep) c.reused(rep_seed(rep));
-  out.reused_s = timer.seconds();
-  return out;
+  return identical;
 }
 
 std::vector<GenCase> make_cases(bool quick) {
@@ -98,14 +76,6 @@ std::vector<GenCase> make_cases(bool quick) {
     cases.push_back(GenCase{
         "barabasi_albert", n_big,
         [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::barabasi_albert(n_big, params, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::barabasi_albert(n_big, params, rng, *scratch, *out);
-        },
-        [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
           const Graph fresh = sfs::gen::barabasi_albert(n_big, params, r1);
@@ -120,16 +90,6 @@ std::vector<GenCase> make_cases(bool quick) {
     auto out = std::make_shared<Graph>();
     cases.push_back(GenCase{
         "config_model", n_big,
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::power_law_configuration_graph(n_big, seq, opts,
-                                                        rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::power_law_configuration_graph(n_big, seq, opts, rng,
-                                                  *scratch, *out);
-        },
         [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
@@ -147,14 +107,6 @@ std::vector<GenCase> make_cases(bool quick) {
     cases.push_back(GenCase{
         "cooper_frieze", n_mid,
         [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::cooper_frieze(n_mid, params, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::cooper_frieze(n_mid, params, rng, *scratch, *out);
-        },
-        [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
           const auto fresh = sfs::gen::cooper_frieze(n_mid, params, r1);
@@ -169,14 +121,6 @@ std::vector<GenCase> make_cases(bool quick) {
     auto out = std::make_shared<Graph>();
     cases.push_back(GenCase{
         "erdos_renyi_gnm", n_big,
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::erdos_renyi_gnm(n_big, m, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::erdos_renyi_gnm(n_big, m, rng, *scratch, *out);
-        },
         [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
@@ -195,14 +139,6 @@ std::vector<GenCase> make_cases(bool quick) {
     cases.push_back(GenCase{
         "kleinberg", L * L,
         [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::KleinbergGrid(L, params, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          grid->rebuild(L, params, rng, *scratch);
-        },
-        [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
           const sfs::gen::KleinbergGrid fresh(L, params, r1);
@@ -216,15 +152,6 @@ std::vector<GenCase> make_cases(bool quick) {
     auto out = std::make_shared<Graph>();
     cases.push_back(GenCase{
         "merged_mori", n_mid,
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::merged_mori_graph(n_mid, 2, params, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::merged_mori_graph(n_mid, 2, params, rng, *scratch,
-                                      *out);
-        },
         [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
@@ -240,14 +167,6 @@ std::vector<GenCase> make_cases(bool quick) {
     auto out = std::make_shared<std::vector<std::uint32_t>>();
     cases.push_back(GenCase{
         "degree_sequence", n_seq,
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          (void)sfs::gen::power_law_degree_sequence(n_seq, params, rng);
-        },
-        [=](std::uint64_t s) {
-          Rng rng(s);
-          sfs::gen::power_law_degree_sequence(n_seq, params, rng, *out);
-        },
         [=](std::uint64_t s) {
           Rng r1(s);
           Rng r2(s);
@@ -268,43 +187,32 @@ int run_m4(ExperimentContext& ctx) {
                 << reps << " replications per generator\n\n";
 
   sfs::sim::Table t("fresh vs scratch-reusing generation",
-                    {"generator", "n", "fresh graphs/s", "reused graphs/s",
-                     "speedup", "identical"});
+                    {"generator", "n", "identical"});
   bool all_identical = true;
-  std::size_t faster = 0;
-  const auto cases = make_cases(quick);
-  for (const auto& c : cases) {
-    const CaseResult r = run_case(c, reps, ctx.stream_seed(c.name));
-    all_identical = all_identical && r.identical;
-    const double fresh_thru = static_cast<double>(reps) / r.fresh_s;
-    const double reused_thru = static_cast<double>(reps) / r.reused_s;
-    const double speedup = r.fresh_s / r.reused_s;
-    if (speedup > 1.0) ++faster;
-    t.row()
-        .cell(c.name)
-        .integer(c.n)
-        .num(fresh_thru, 1)
-        .num(reused_thru, 1)
-        .num(speedup, 2)
-        .cell(r.identical ? "yes" : "NO");
-    ctx.emitter->emit_point("m4_generator_reuse_fresh_" + c.name, c.n,
-                            reps, fresh_thru, 0.0, r.fresh_s);
-    ctx.emitter->emit_point("m4_generator_reuse_reused_" + c.name, c.n,
-                            reps, reused_thru, 0.0, r.reused_s);
+  for (const auto& c : make_cases(quick)) {
+    const bool identical = run_case(c, reps, ctx.stream_seed(c.name));
+    all_identical = all_identical && identical;
+    t.row().cell(c.name).integer(c.n).cell(identical ? "yes" : "NO");
+
+    sfs::sim::JsonObjectWriter json;
+    json.str_field("bench", "m4_generator_reuse");
+    json.str_field("generator", c.name);
+    json.int_field("n", c.n);
+    json.int_field("reps", reps);
+    json.bool_field("bit_identical", identical);
+    ctx.emitter->emit_object(json.str());
   }
   t.print(ctx.console());
   ctx.console() << "\nbit-identical fresh vs reused: "
-                << (all_identical ? "PASS" : "FAIL") << '\n'
-                << "generators faster with reuse: " << faster << "/"
-                << cases.size() << '\n';
+                << (all_identical ? "PASS" : "FAIL") << '\n';
   return all_identical ? 0 : 1;
 }
 
 const sfs::sim::ExperimentRegistrar reg_m4({
     .name = "m4",
-    .title = "Generator scratch reuse: speedup + bit-identity audit",
-    .claim = "Machine benchmark: gen::GenScratch overloads are a pure "
-             "performance transform over fresh allocation",
+    .title = "Generator scratch reuse: bit-identity audit",
+    .claim = "gen::GenScratch overloads are a pure performance transform "
+             "over fresh allocation",
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapReps | sfs::sim::kCapSeed,
     .params =
         {

@@ -1,21 +1,20 @@
-// M5 — batched fixed-graph lookup throughput through search::QueryEngine.
+// M5 — batched fixed-graph lookups through search::QueryEngine.
 //
 // The sim/ harnesses measure one query per freshly generated graph; this
-// experiment measures the opposite regime — the one P2P resource-discovery
+// experiment runs the opposite regime — the one P2P resource-discovery
 // deployments actually run (Adamic et al.; the resource-discovery systems
 // in PAPERS.md): ONE long-lived power-law overlay serving a batch of many
 // lookups. For each selected policy it builds a QueryEngine session over
 // the same overlay and runs the identical query batch twice — sequentially
 // (threads=1) and fanned out over the shared pool (threads=0) — reporting
-// batch throughput (queries/sec) for both, the parallel speedup, and the
-// lookup quality (found fraction, mean charged requests).
+// the lookup quality (found fraction, mean charged requests). Batch
+// throughput is measured by perfbench's `lookup` workload, not here.
 //
 // Audit: the engine derives each query's RNG stream from (session seed,
 // batch index) only, so the sequential and pooled runs must agree
 // bit-for-bit on every per-query SearchResult; any divergence exits 1
 // (the same pattern as m3's sequential-vs-parallel audit). Under
 // SFS_RNG_AUDIT=1 every per-query derivation is collision-checked.
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "search/query_engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json.hpp"
-#include "sim/report.hpp"
 #include "sim/table.hpp"
 
 namespace {
@@ -86,8 +84,8 @@ int run_m5(ExperimentContext& ctx) {
 
   sfs::sim::Table t("M5: batch of " + std::to_string(batch) +
                         " lookups, seq vs pool",
-                    {"policy", "model", "seq q/s", "pool q/s", "speedup",
-                     "mean requests", "found frac"});
+                    {"policy", "model", "mean requests", "found frac",
+                     "identical"});
   int exit_code = 0;
   for (const auto& name : policies) {
     sfs::search::QueryEngineOptions options;
@@ -95,23 +93,10 @@ int run_m5(ExperimentContext& ctx) {
     options.budget.max_raw_requests = 50 * peers;
     sfs::search::QueryEngine engine(overlay, name, options);
 
-    // Untimed warmup at the pooled worker count: spawns the shared pool's
-    // threads (first policy) and grows the engine's per-worker sessions,
-    // so the timed windows measure batch service, not one-time setup.
-    // Streams depend only on the batch index, so the warmup leaves the
-    // timed results bit-identical.
-    const std::size_t warm = std::min<std::size_t>(8, queries.size());
-    (void)engine.run_batch(std::span<const Query>(queries.data(), warm),
-                           ctx.threads());
-
-    sfs::sim::WallTimer timer;
     const auto seq = engine.run_batch(queries, /*threads=*/1);
-    const double seq_s = std::max(timer.seconds(), 1e-9);
-    timer.reset();
     const auto pooled = engine.run_batch(queries, ctx.threads());
-    const double pool_s = std::max(timer.seconds(), 1e-9);
-
-    if (!same_results(seq, pooled)) {
+    const bool identical = same_results(seq, pooled);
+    if (!identical) {
       ctx.console() << "AUDIT FAILURE: policy '" << name
                     << "': pooled batch diverged from the sequential "
                        "batch\n";
@@ -125,18 +110,14 @@ int run_m5(ExperimentContext& ctx) {
       if (r.found) ++found;
     }
     const double d_batch = static_cast<double>(batch);
-    const double seq_qps = d_batch / seq_s;
-    const double pool_qps = d_batch / pool_s;
     const double mean_requests = requests / d_batch;
     const double found_frac = static_cast<double>(found) / d_batch;
     t.row()
         .cell(name)
         .cell(std::string(sfs::search::model_name(engine.model())))
-        .num(seq_qps, 0)
-        .num(pool_qps, 0)
-        .num(seq_s / pool_s, 2)
         .num(mean_requests, 1)
-        .num(found_frac, 2);
+        .num(found_frac, 2)
+        .cell(identical ? "yes" : "NO");
 
     sfs::sim::JsonObjectWriter json;
     json.str_field("bench", "m5_query_engine");
@@ -144,12 +125,9 @@ int run_m5(ExperimentContext& ctx) {
     json.str_field("model", std::string(sfs::search::model_name(engine.model())));
     json.int_field("n", peers);
     json.int_field("queries", batch);
-    json.num_field("seq_qps", seq_qps);
-    json.num_field("pool_qps", pool_qps);
-    json.num_field("speedup", seq_s / pool_s);
     json.num_field("mean_requests", mean_requests);
     json.num_field("found_frac", found_frac);
-    json.bool_field("bit_identical", same_results(seq, pooled));
+    json.bool_field("bit_identical", identical);
     // Provenance: which stream-plan version derived the per-query streams
     // (rng/stream_plan.hpp) — what an external replayer must configure to
     // reproduce them.
@@ -168,7 +146,7 @@ int run_m5(ExperimentContext& ctx) {
 
 const sfs::sim::ExperimentRegistrar reg_m5({
     .name = "m5_query_engine",
-    .title = "QueryEngine: batched lookup throughput on one fixed overlay",
+    .title = "QueryEngine: batched lookups on one fixed overlay",
     .claim = "A session-owning batch runner serves fixed-graph lookup "
              "traffic with bit-identical seq/parallel results",
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize |

@@ -116,7 +116,6 @@ std::string flag_names(unsigned caps) {
   append(kCapThreads, "--threads");
   append(kCapPolicies, "--policies");
   append(kCapShard, "--shard");
-  append(kCapGbenchFlags, "--benchmark_*");
   if (!out.empty()) out += ' ';
   out += "--json";
   return out;
@@ -330,10 +329,6 @@ bool parse_experiment_cli(const std::vector<std::string>& args,
         error = "--json requires a non-empty path";
         return false;
       }
-    } else if (arg.rfind("--benchmark_", 0) == 0) {
-      // Opaque pass-through for the google-benchmark experiments;
-      // validation rejects these unless the spec has kCapGbenchFlags.
-      out.options.gbench_flags.push_back(arg);
     } else {
       error = "unknown flag: " + arg;
       return false;
@@ -386,9 +381,6 @@ bool validate_experiment_options(const ExperimentSpec& spec,
   }
   if (!options.policies.empty() && !(spec.caps & kCapPolicies)) {
     return reject("--policies");
-  }
-  if (!options.gbench_flags.empty() && !(spec.caps & kCapGbenchFlags)) {
-    return reject(options.gbench_flags.front().c_str());
   }
   // Checkpointing streams sweep cells, which only the grid modes produce;
   // silently ignoring the flag elsewhere would run a sweep with no

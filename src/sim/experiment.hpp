@@ -2,7 +2,7 @@
 // the shared CLI layer behind the single `sfs_bench` driver.
 //
 // Every experiment that used to be its own bench binary (e1-e12 the paper
-// claims, a1-a3 the ablations, m1-m4 the machine benchmarks) registers an
+// claims, a1-a3 the ablations, m3-m5 the engine audits) registers an
 // ExperimentSpec — name, one-line claim, parameter schema with typed
 // defaults, capability set, and a run function — via a static
 // ExperimentRegistrar in its own translation unit. The driver then offers
@@ -53,14 +53,12 @@ enum ExperimentCaps : unsigned {
   kCapThreads = 1u << 6,     // --threads: worker count for the fan-out
   kCapSingleSize = 1u << 7,  // --n (or a one-element --sizes): experiments
                              // with one problem size; longer lists exit 2
-  kCapGbenchFlags = 1u << 8,  // --benchmark_*: passed through verbatim to
-                              // google-benchmark (m1/m2)
-  kCapPolicies = 1u << 9,  // --policies a,b,c: run only the named search
+  kCapPolicies = 1u << 8,  // --policies a,b,c: run only the named search
                            // policies (resolved against the policy
                            // registry, search/policy.hpp)
-  kCapShard = 1u << 10,  // --shard i/k: compute only shard i of the grid
-                         // (sim::measure_scaling_shard); requires a grid
-                         // mode and --checkpoint
+  kCapShard = 1u << 9,  // --shard i/k: compute only shard i of the grid
+                        // (sim::measure_scaling_shard); requires a grid
+                        // mode and --checkpoint
 };
 
 /// Parsed shared-flag values for one run. Flags the user did not pass are
@@ -88,9 +86,6 @@ struct ExperimentOptions {
   /// RunPlan/QueryEngine policy filter; unknown names fail inside the run
   /// with the registry's diagnostic.
   std::vector<std::string> policies;
-  /// --benchmark_* flags, forwarded verbatim to google-benchmark by the
-  /// gbench experiments (rejected unless the spec has kCapGbenchFlags).
-  std::vector<std::string> gbench_flags;
 };
 
 struct ExperimentSpec;
@@ -153,12 +148,6 @@ struct ExperimentSpec {
   std::uint64_t default_seed = 0;
 
   unsigned caps = kCapQuick | kCapSeed;
-
-  /// Include in the registry-wide smoke loop (tests/test_experiment_smoke
-  /// runs every smoke experiment under a tiny --quick budget). The
-  /// google-benchmark microbench experiments opt out; CI still runs them
-  /// through the driver loop.
-  bool smoke = true;
 
   std::vector<ParamSpec> params;
 

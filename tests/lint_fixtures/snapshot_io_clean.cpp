@@ -1,6 +1,6 @@
 // SFS_LINT_FIXTURE_PATH: src/graph/fixture_snapshot_io_clean.cpp
 // Fixture: disciplined mmap/IO error handling, the pattern
-// graph/snapshot.cpp uses. Contract violations go through SFS_REQUIRE;
+// graph/io.cpp uses. Contract violations go through SFS_REQUIRE;
 // environmental I/O failures (open/stat/mmap) may throw
 // std::runtime_error only under a reasoned SFS_LINT_ALLOW, and
 // mentioning `throw` in a comment or string must not fire.

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "graph/builder.hpp"
+#include "graph/compressed.hpp"
 
 namespace {
 
@@ -199,6 +200,17 @@ TEST(GraphBuilder, ValidateEdgeCapacity) {
   EXPECT_THROW(
       validate_edge_capacity(std::numeric_limits<std::size_t>::max() / 2 + 1),
       std::invalid_argument);
+}
+
+TEST(GraphMemory, CountsEveryResidentArray) {
+  using sfs::graph::EdgeId;
+  using sfs::graph::graph_memory_bytes;
+  EXPECT_EQ(graph_memory_bytes(Graph{}), 0u);
+  // n = 3, m = 3: edge log, n + 1 offsets, 2m incidence ids, 2m far
+  // endpoints and two n-long degree vectors.
+  EXPECT_EQ(graph_memory_bytes(triangle()),
+            3 * sizeof(Edge) + 4 * sizeof(std::size_t) + 6 * sizeof(EdgeId) +
+                6 * sizeof(VertexId) + 6 * sizeof(std::uint32_t));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/builder.hpp"
 
@@ -83,6 +84,15 @@ TEST(Io, RejectsMalformedHeader) {
   EXPECT_THROW(
       (void)from_string("sfsearch-graph v1\n2 18446744073709551615\n0 1\n"),
       std::invalid_argument);
+  // A vertex count beyond VertexId (GraphBuilder rejects n > kNoVertex
+  // before sizing anything); "-1" wraps to 2^64 - 1 when read unsigned.
+  for (const char* header :
+       {"4294967296 0", "18446744073709551615 0", "-1 0"}) {
+    EXPECT_THROW(
+        (void)from_string(std::string("sfsearch-graph v1\n") + header + "\n"),
+        std::invalid_argument)
+        << header;
+  }
 }
 
 TEST(Io, RejectsEmptyInput) {
