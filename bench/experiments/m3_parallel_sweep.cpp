@@ -87,7 +87,7 @@ int run_m3(ExperimentContext& ctx) {
                 << reps << " reps, " << workers << " worker(s)\n\n";
 
   sfs::sim::Table t("sequential vs parallel portfolio measurement",
-                    {"n", "best policy", "best mean requests", "identical"});
+                    {"n", "identical"});
   bool all_identical = true;
   for (const std::size_t n : sizes) {
     const std::uint64_t seed = ctx.stream_seed("n=" + std::to_string(n));
@@ -95,19 +95,12 @@ int run_m3(ExperimentContext& ctx) {
     const PortfolioCost par = run_once(n, reps, seed, par_threads);
     const bool same = bit_identical(seq, par);
     all_identical = all_identical && same;
-    const auto& best = seq.best_policy();
-    t.row()
-        .integer(n)
-        .cell(best.name)
-        .num(best.requests.mean, 1)
-        .cell(same ? "yes" : "NO");
+    t.row().integer(n).cell(same ? "yes" : "NO");
 
     sfs::sim::JsonObjectWriter json;
     json.str_field("bench", "m3_parallel_sweep");
     json.int_field("n", n);
     json.int_field("reps", reps);
-    json.str_field("best_policy", best.name);
-    json.num_field("best_mean_requests", best.requests.mean);
     json.bool_field("bit_identical", same);
     ctx.emitter->emit_object(json.str());
   }
